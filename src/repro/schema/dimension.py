@@ -343,6 +343,21 @@ class Dimension:
         firsts = self._first_fine[coarse_level][fine_level]
         return int(firsts[ordinal_lo]), int(firsts[ordinal_hi])
 
+    def first_fine_ordinals(self, coarse_level: int, fine_level: int) -> np.ndarray:
+        """First ``fine_level`` ordinal of every ``coarse_level`` value.
+
+        Length ``cardinality(coarse_level) + 1`` (the last entry is the
+        fine cardinality).  Strictly increasing because every parent map
+        is monotone, contiguous and surjective, so ``firsts[:-1]`` are
+        valid ``reduceat`` boundaries with no empty group.
+        """
+        if not coarse_level < fine_level <= self.height:
+            raise SchemaError(
+                f"dimension {self.name!r}: need coarse level {coarse_level} "
+                f"< fine level {fine_level} <= {self.height}"
+            )
+        return self._first_fine[coarse_level][fine_level]
+
     def child_chunk_span(
         self, coarse_level: int, chunk: int, fine_level: int
     ) -> tuple[int, int]:
