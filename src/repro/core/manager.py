@@ -8,15 +8,28 @@ backend in a single batched request; admit the new chunks (maintaining the
 strategy's count/cost state); and reinforce the chunk groups that were
 aggregated (two-level policy, rule 2).  Per-query wall-clock is split into
 the paper's lookup / aggregation / update / backend phases (Figure 10).
+
+Those four phases are written once, in :meth:`AggregateCache._answer`,
+and run under a lock and single-flight policy: the sequential manager's
+own policy takes no lock and fetches straight from the backend, while
+:class:`~repro.service.ConcurrentAggregateCache` passes itself to hold
+its readers-writer lock and deduplicate fetches.  Phase 2 and the
+degraded-mode salvage both execute through one batched plan executor,
+:meth:`AggregateCache._execute_plans_batched`, and every result — the
+pipeline's and the shard router's merge — is built by
+:func:`assemble_result`.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Mapping, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.aggregation.aggregate import rollup_chunks, rollup_many
+from repro.aggregation.aggregate import rollup_many
 from repro.approx.answering import ApproxAnswerer, make_answerer
 from repro.approx.contract import QueryContract, resolve_contract
 from repro.approx.estimator import CellEstimate
@@ -88,11 +101,12 @@ class QueryResult:
 
     @property
     def answered_fraction(self) -> float:
-        """Fraction answered exactly *or* approximately."""
-        total = self.query.num_chunks
-        return (
-            (total - len(self.unanswered)) / total if total else 1.0
-        )
+        """Fraction answered exactly *or* approximately, of the chunks
+        this result answers for — the whole query, or the slice of a
+        :meth:`~repro.service.ConcurrentAggregateCache.query_subset`."""
+        answered = len(self.chunks) + len(self.estimated)
+        total = answered + len(self.unanswered)
+        return answered / total if total else 1.0
 
     def estimate_total(self):
         """SUM over the whole answered region — exact chunk totals plus
@@ -172,11 +186,150 @@ def write_query_log_csv(records: list[QueryLogRecord], path) -> int:
     return len(records)
 
 
+def assemble_result(
+    query: Query,
+    numbers: Sequence[int],
+    cells: Mapping[int, Chunk],
+    estimates: Iterable[CellEstimate],
+    breakdown: TimeBreakdown,
+    contract: QueryContract | None,
+    degraded: bool,
+    **counters: int,
+) -> QueryResult:
+    """Build the :class:`QueryResult` for the chunk numbers ``numbers``
+    (a whole query's plan or one slice of it, in plan order).
+
+    ``cells`` holds the exactly answered chunks and ``estimates`` the
+    sample estimates, in any order; ``counters`` are the remaining
+    :class:`QueryResult` accounting fields.  Everything else derives
+    from them: chunks and estimates in plan order, ``unanswered`` the
+    rest of the plan, ``coverage`` the exactly answered share, and
+    ``complete_hit`` — every chunk answered from the cache, with nothing
+    fetched, estimated or left unanswered.
+    """
+    by_number = {estimate.number: estimate for estimate in estimates}
+    chunks = [cells[n] for n in numbers if n in cells]
+    return QueryResult(
+        query=query,
+        chunks=chunks,
+        complete_hit=(
+            not counters.get("from_backend") and len(chunks) == len(numbers)
+        ),
+        breakdown=breakdown,
+        degraded=degraded,
+        coverage=len(chunks) / len(numbers) if numbers else 1.0,
+        unanswered=tuple(
+            n for n in numbers if n not in cells and n not in by_number
+        ),
+        contract=contract.mode if contract is not None else "exact",
+        estimated=tuple(by_number[n] for n in numbers if n in by_number),
+        **counters,
+    )
+
+
+def estimate_chunks(
+    answerer: ApproxAnswerer,
+    level: Level,
+    numbers: list[int],
+    contract: QueryContract,
+) -> tuple[list[CellEstimate], list[int]]:
+    """Estimate the given chunks from the sample, splitting them into
+    (accepted estimates, numbers whose estimate the contract's
+    ``max_rel_error`` rejects)."""
+    estimates = answerer.estimate(level, numbers)
+    tolerance = contract.max_rel_error
+    if tolerance is None:
+        return estimates, []
+    kept: list[CellEstimate] = []
+    rejected: list[int] = []
+    for number, estimate in zip(numbers, estimates):
+        if estimate.rel_error <= tolerance:
+            kept.append(estimate)
+        else:
+            rejected.append(number)
+    return kept, rejected
+
+
 @dataclass
 class _PlanExecution:
     chunk: Chunk
     leaf_keys: set[Key] = field(default_factory=set)
     tuples_aggregated: int = 0
+    direct: bool = False
+    """A leaf plan: the chunk was read straight from the cache."""
+
+
+@dataclass
+class _QueryState:
+    """What one query's phases have answered and charged so far."""
+
+    cells: dict[int, Chunk] = field(default_factory=dict)
+    computed: list[Chunk] = field(default_factory=list)
+    reinforcements: list[tuple[set[Key], float]] = field(
+        default_factory=list
+    )
+    direct_hits: int = 0
+    tuples_aggregated: int = 0
+    visits: int = 0
+
+
+class _SequentialPolicy:
+    """The lock and single-flight policy of a bare manager: none at all.
+
+    :meth:`AggregateCache._answer` runs its phases through a policy:
+    ``_read``/``_write`` give the phase holds, ``_find`` one strategy
+    lookup with its visit count, ``_fetch`` resolves backend misses,
+    ``_retire`` releases (or, on an error, abandons) the single-flight
+    claims a query led, and a plan a racing writer invalidated is
+    re-planned at most ``max_replans`` times, each counted by
+    ``_count_replan``.  Here no lock is taken, misses go straight to
+    ``backend.fetch`` and nothing can race, so the re-plan budget is 0;
+    :class:`~repro.service.ConcurrentAggregateCache` is the concurrent
+    policy.  A query builds its own: kept on the manager, the policy
+    would close a reference cycle that holds a dropped manager's cache
+    and backend until the cyclic collector runs.
+    """
+
+    max_replans = 0
+    _NO_HOLD = nullcontext()
+
+    def __init__(self, manager: "AggregateCache") -> None:
+        self.manager = manager
+
+    def _read(self):
+        return self._NO_HOLD
+
+    _write = _read
+
+    def _find(self, level: Level, number: int) -> tuple[PlanNode | None, int]:
+        strategy = self.manager.strategy
+        plan = strategy.find(level, number)
+        return plan, strategy.last_find_visits
+
+    def _fetch(
+        self,
+        level: Level,
+        missing: list[int],
+        led: list[Key],
+        degrade_ok: bool,
+    ) -> tuple[list[Chunk], list[Chunk], float | None]:
+        """``(chunks to admit, chunks shared from other queries'
+        fetches, simulated ms to charge or None)``; a typed fault leaves
+        every chunk unresolved when the contract may degrade."""
+        try:
+            fetched, stats = self.manager.backend.fetch(
+                [(level, n) for n in missing]
+            )
+        except FaultError:
+            if not degrade_ok:
+                raise
+            return [], [], None
+        return fetched, [], stats.total_ms
+
+    def _retire(
+        self, led: list[Key], error: BaseException | None = None
+    ) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -366,12 +519,8 @@ class AggregateCache:
         level = choose_preload_level(
             self.schema, self.sizes, self.cache.capacity_bytes, headroom=headroom
         )
-        if level is None:
-            return None
-        chunks = self.backend.compute_level(level)
-        for chunk in chunks:
-            chunk.origin = ChunkOrigin.PRELOAD
-            self._insert(chunk, benefit=chunk.compute_cost)
+        if level is not None:
+            self.preload_levels([level])
         return level
 
     def preload_levels(self, levels: list[Level]) -> list[Level]:
@@ -415,204 +564,198 @@ class AggregateCache:
         estimates what cannot be answered exactly (requires ``approx=``
         at construction).
         """
-        numbers = query.chunk_numbers(self.schema)
+        return self._answer(
+            query, query.chunk_numbers(self.schema), contract,
+            _SequentialPolicy(self),
+        )
+
+    def _answer(
+        self,
+        query: Query,
+        numbers: Sequence[int],
+        contract: QueryContract | None,
+        policy,
+    ) -> QueryResult:
+        """The query pipeline: answer the chunk numbers ``numbers`` of
+        ``query`` in the paper's four phases, under ``policy``'s phase
+        holds and single-flight fetches (see :class:`_SequentialPolicy`).
+        """
+        level = query.level
         effective = resolve_contract(contract, self.degraded_mode)
         approx_mode = effective.wants_estimates and self.approx is not None
         breakdown = TimeBreakdown()
-        visits_before = self.strategy.total_visits
+        state = _QueryState()
         obs = self.obs
 
-        # Phase 1 — cache lookup: plan every chunk or mark it missing.
-        with span(obs, "lookup") as lookup_span:
-            plans: dict[int, PlanNode | None] = {
-                number: self.strategy.find(query.level, number)
-                for number in numbers
-            }
+        # Phase 1 — cache lookup: plan every chunk or leave it missing.
+        redirects = 0
+        with policy._read(), span(obs, "lookup") as lookup_span:
+            plans = self._plan(level, numbers, policy, state)
             if self.use_cost_optimizer:
-                for number, plan in plans.items():
-                    if plan is None or plan.is_leaf:
-                        continue
-                    if self._backend_is_cheaper(query.level, number, plan):
-                        plans[number] = None
-                        self.optimizer_redirects += 1
+                for number, plan in list(plans.items()):
+                    if not plan.is_leaf and self._backend_is_cheaper(
+                        level, number, plan
+                    ):
+                        del plans[number]
+                        redirects += 1
         breakdown.lookup_ms = lookup_span.elapsed_ms
 
-        # Phase 2 — aggregate computable chunks inside the cache.  Every
-        # plan of the query executes in one batch: each lattice hop of
-        # the combined plan forest is a single rollup_many pass.
-        results: dict[int, Chunk] = {}
-        computed: list[Chunk] = []
-        reinforcements: list[tuple[set[Key], float]] = []
-        direct_hits = 0
-        tuples_aggregated = 0
-        with span(obs, "aggregate") as aggregate_span:
-            pending: list[tuple[int, PlanNode]] = []
-            for number, plan in plans.items():
-                if plan is None:
-                    continue
-                if plan.is_leaf:
-                    results[number] = self.cache.get(query.level, number)
-                    direct_hits += 1
-                    continue
-                pending.append((number, plan))
-            if pending:
-                executions = self._execute_plans_batched(
-                    [plan for _, plan in pending]
-                )
-                for (number, _), execution in zip(pending, executions):
-                    chunk = execution.chunk
-                    chunk.compute_cost = self.cost_model.aggregation_ms(
-                        execution.tuples_aggregated
-                    )
-                    results[number] = chunk
-                    computed.append(chunk)
-                    tuples_aggregated += execution.tuples_aggregated
-                    reinforcements.append(
-                        (execution.leaf_keys, chunk.compute_cost)
-                    )
+        # Phase 2 — aggregate every computable chunk inside the cache, in
+        # a fresh hold: all plans execute in one batched forest pass.
+        with policy._read(), span(obs, "aggregate") as aggregate_span:
+            self._aggregate(plans, policy, state)
         breakdown.aggregate_ms = aggregate_span.elapsed_ms
 
-        # Phase 3 — one batched backend request for everything missing.
-        # The phase's charge is the cost model's simulated milliseconds,
-        # not local wall-clock, so the span records the stats total.
-        # In degraded mode a typed backend fault does not abort the
-        # query: the missing chunks are re-planned cache-only (exact
-        # answers where the lattice still covers them) and the rest are
-        # reported as unanswered.
-        missing = [n for n, plan in plans.items() if plan is None]
-        any_missing = bool(missing)
-        fetched: list[Chunk] = []
-        degraded = False
-        unanswered: tuple[int, ...] = ()
-        estimated: list[CellEstimate] = []
-        if missing and approx_mode and effective.prefer_sample:
-            # The latency dial: estimate backend misses instead of
-            # fetching them.  Chunks whose estimate is wider than
-            # max_rel_error still go to the backend.
-            estimated, missing = self._estimate_chunks(
-                query.level, missing, effective
-            )
-        if missing:
-            with span(
-                obs, "backend", chunks=len(missing)
-            ) as backend_span:
-                try:
-                    fetched, stats = self.backend.fetch(
-                        [(query.level, n) for n in missing]
+        # Phases 3 and 4 run under a flight guard: once this query has
+        # claimed single-flight leaderships, ANY exception on the way to
+        # the normal release must abandon them — failing unpublished
+        # flights (waking waiters with the error) and retiring published
+        # ones (whose chunks were never admitted).
+        led: list[Key] = []
+        try:
+            # Phase 3 — one batched backend request for everything
+            # missing.  The phase's charge is the cost model's simulated
+            # milliseconds, not local wall-clock.  When the contract may
+            # degrade, a typed backend fault does not abort the query:
+            # the unresolved chunks are re-planned cache-only (exact
+            # answers where the lattice still covers them), and the rest
+            # are estimated or reported unanswered.
+            missing = [n for n in numbers if n not in state.cells]
+            estimated: list[CellEstimate] = []
+            fetched: list[Chunk] = []
+            shared: list[Chunk] = []
+            degraded = False
+            if missing and approx_mode and effective.prefer_sample:
+                # The latency dial: estimate backend misses instead of
+                # fetching them.  Chunks whose estimate is wider than
+                # max_rel_error still go to the backend.
+                estimated, missing = estimate_chunks(
+                    self.approx, level, missing, effective
+                )
+            if missing:
+                with span(
+                    obs, "backend", chunks=len(missing)
+                ) as backend_span:
+                    fetched, shared, charge_ms = policy._fetch(
+                        level, missing, led, effective.degrade_ok
                     )
-                    backend_span.record(stats.total_ms)
-                except FaultError:
-                    if not effective.degrade_ok:
-                        raise
+                    if charge_ms is not None:
+                        backend_span.record(charge_ms)
+                breakdown.backend_ms = backend_span.elapsed_ms
+                for chunk in itertools.chain(fetched, shared):
+                    state.cells[chunk.number] = chunk
+                failed = [n for n in missing if n not in state.cells]
+                if failed:
                     degraded = True
-            breakdown.backend_ms = backend_span.elapsed_ms
-            for chunk in fetched:
-                results[chunk.number] = chunk
-            if degraded:
-                with span(obs, "aggregate") as salvage_span:
-                    direct, executions, leftovers = self._salvage_from_cache(
-                        query.level, missing
-                    )
+                    with policy._read(), span(
+                        obs, "aggregate"
+                    ) as salvage_span:
+                        self._aggregate(
+                            self._plan(level, failed, policy, state),
+                            policy,
+                            state,
+                        )
+                    breakdown.aggregate_ms += salvage_span.elapsed_ms
+                    leftovers = [n for n in failed if n not in state.cells]
                     if approx_mode and leftovers:
-                        # What neither backend nor cache could answer is
-                        # estimated; only estimates too wide for the
-                        # contract stay unanswered.
-                        extra, leftovers = self._estimate_chunks(
-                            query.level, leftovers, effective
+                        estimated.extend(
+                            estimate_chunks(
+                                self.approx, level, leftovers, effective
+                            )[0]
                         )
-                        estimated.extend(extra)
-                    unanswered = tuple(leftovers)
-                    for number, chunk in direct.items():
-                        results[number] = chunk
-                        direct_hits += 1
-                    for number, execution in executions:
-                        chunk = execution.chunk
-                        chunk.compute_cost = self.cost_model.aggregation_ms(
-                            execution.tuples_aggregated
-                        )
-                        results[number] = chunk
-                        computed.append(chunk)
-                        tuples_aggregated += execution.tuples_aggregated
-                        reinforcements.append(
-                            (execution.leaf_keys, chunk.compute_cost)
-                        )
-                breakdown.aggregate_ms += salvage_span.elapsed_ms
 
-        # Phase 4 — admit new chunks and maintain count/cost state.
-        # Reinforcement is applied BEFORE the admissions: an insert can
-        # evict the very leaves that were just aggregated, and reinforcing
-        # first both protects the group during the victim sweep and never
-        # silently drops a reinforcement for an already-evicted leaf.
-        with span(obs, "update") as update_span:
-            state_updates = 0
-            reinforcements_skipped = 0
-            for leaf_keys, benefit in reinforcements:
-                _, skipped = self.cache.reinforce(leaf_keys, benefit)
-                reinforcements_skipped += skipped
-            state_updates += self._admit_wave(computed + fetched)
-        breakdown.update_ms = update_span.elapsed_ms
-
-        self.queries_run += 1
-        complete_hit = not estimated and (
-            not any_missing or (degraded and not unanswered)
-        )
-        if complete_hit:
-            self.complete_hits += 1
-        if degraded:
-            self.degraded_queries += 1
-        if estimated:
-            self.approx_queries += 1
-            order = {n: i for i, n in enumerate(numbers)}
-            estimated.sort(key=lambda e: order[e.number])
-        result = QueryResult(
-            query=query,
-            chunks=[results[n] for n in numbers if n in results],
-            complete_hit=complete_hit,
-            breakdown=breakdown,
-            direct_hits=direct_hits,
-            aggregated=len(computed),
-            from_backend=len(fetched),
-            tuples_aggregated=tuples_aggregated,
-            lookup_visits=self.strategy.total_visits - visits_before,
-            state_updates=state_updates,
-            reinforcements_skipped=reinforcements_skipped,
-            degraded=degraded,
-            coverage=(
-                (len(numbers) - len(unanswered) - len(estimated))
-                / len(numbers)
-            ),
-            unanswered=unanswered,
-            contract=contract.mode if contract is not None else "exact",
-            estimated=tuple(estimated),
-        )
-        if obs.enabled:
-            self._emit_query_event(result)
-        if self.keep_log:
-            self.query_log.append(QueryLogRecord.from_result(self, result))
+            # Phase 4 — admit new chunks and maintain count/cost state.
+            # Reinforcement is applied BEFORE the admissions: an insert
+            # can evict the very leaves that were just aggregated, and
+            # reinforcing first both protects the group during the victim
+            # sweep and never silently drops a reinforcement for an
+            # already-evicted leaf.  The flights this query led retire
+            # only after its admissions settle, so late missers of the
+            # same chunks share the fetch instead of repeating it.
+            with policy._write():
+                with span(obs, "update") as update_span:
+                    skipped = 0
+                    for leaf_keys, benefit in state.reinforcements:
+                        skipped += self.cache.reinforce(leaf_keys, benefit)[1]
+                    state_updates = self._admit_wave(state.computed + fetched)
+                breakdown.update_ms = update_span.elapsed_ms
+                policy._retire(led)
+                led.clear()
+                result = assemble_result(
+                    query,
+                    numbers,
+                    state.cells,
+                    estimated,
+                    breakdown,
+                    contract,
+                    degraded,
+                    direct_hits=state.direct_hits,
+                    aggregated=len(state.computed),
+                    from_backend=len(fetched) + len(shared),
+                    tuples_aggregated=state.tuples_aggregated,
+                    lookup_visits=state.visits,
+                    state_updates=state_updates,
+                    reinforcements_skipped=skipped,
+                )
+                self.optimizer_redirects += redirects
+                self.queries_run += 1
+                self.complete_hits += result.complete_hit
+                self.degraded_queries += degraded
+                self.approx_queries += bool(result.estimated)
+                if obs.enabled:
+                    self._emit_query_event(result)
+                if self.keep_log:
+                    self.query_log.append(
+                        QueryLogRecord.from_result(self, result)
+                    )
+        except BaseException as exc:
+            if led:
+                policy._retire(led, exc)
+            raise
         return result
 
-    def _estimate_chunks(
+    def _plan(
         self,
         level: Level,
-        numbers: list[int],
-        contract: QueryContract,
-    ) -> tuple[list[CellEstimate], list[int]]:
-        """Estimate the given chunks from the sample, splitting them into
-        (accepted estimates, numbers whose estimate the contract's
-        ``max_rel_error`` rejects)."""
-        assert self.approx is not None
-        estimates = self.approx.estimate(level, numbers)
-        tolerance = contract.max_rel_error
-        if tolerance is None:
-            return estimates, []
-        kept: list[CellEstimate] = []
-        rejected: list[int] = []
-        for number, estimate in zip(numbers, estimates):
-            if estimate.rel_error <= tolerance:
-                kept.append(estimate)
-            else:
-                rejected.append(number)
-        return kept, rejected
+        numbers: Iterable[int],
+        policy,
+        state: _QueryState,
+    ) -> dict[int, PlanNode]:
+        """One strategy lookup per chunk; the computable ones' plans."""
+        plans: dict[int, PlanNode] = {}
+        for number in numbers:
+            plan, visits = policy._find(level, number)
+            state.visits += visits
+            if plan is not None:
+                plans[number] = plan
+        return plans
+
+    def _aggregate(
+        self, plans: dict[int, PlanNode], policy, state: _QueryState
+    ) -> None:
+        """Execute ``plans`` in one batch and fold the answers into
+        ``state``; a chunk whose plan a racing eviction invalidated past
+        the re-plan budget stays missing."""
+        executions, visits = self._execute_plans_batched(
+            list(plans.values()), policy
+        )
+        state.visits += visits
+        for number, execution in zip(plans, executions):
+            if execution is None:
+                continue
+            chunk = execution.chunk
+            state.cells[number] = chunk
+            if execution.direct:
+                state.direct_hits += 1
+                continue
+            chunk.compute_cost = self.cost_model.aggregation_ms(
+                execution.tuples_aggregated
+            )
+            state.computed.append(chunk)
+            state.tuples_aggregated += execution.tuples_aggregated
+            state.reinforcements.append(
+                (execution.leaf_keys, chunk.compute_cost)
+            )
 
     def _emit_query_event(self, result: QueryResult) -> None:
         """Record one query's accounting into the observability layer."""
@@ -943,49 +1086,60 @@ class AggregateCache:
         backend_ms = self.cost_model.backend_chunk_ms(scan, returned)
         return agg_ms > backend_ms
 
-    def _execute_plan(self, plan: PlanNode) -> _PlanExecution:
-        """Materialise a plan bottom-up from cached chunks."""
-        leaf_keys: set[Key] = set()
-        tuples = 0
-
-        def materialise(node: PlanNode) -> Chunk:
-            nonlocal tuples
-            if node.is_leaf:
-                chunk = self.cache.peek(node.level, node.number)
-                if chunk is None:
-                    raise ReproError(
-                        f"plan references chunk {node.number} of level "
-                        f"{node.level} which is no longer cached"
-                    )
-                leaf_keys.add((node.level, node.number))
-                return chunk
-            inputs = [materialise(child) for child in node.inputs]
-            tuples += sum(c.size_tuples for c in inputs)
-            return rollup_chunks(
-                self.schema,
-                node.level,
-                node.number,
-                inputs,
-                origin=ChunkOrigin.CACHE_COMPUTED,
-            )
-
-        chunk = materialise(plan)
-        return _PlanExecution(
-            chunk=chunk, leaf_keys=leaf_keys, tuples_aggregated=tuples
-        )
-
     def _execute_plans_batched(
-        self, plans: list[PlanNode]
-    ) -> list[_PlanExecution]:
+        self, plans: Sequence[PlanNode], policy=None
+    ) -> tuple[list[_PlanExecution | None], int]:
         """Materialise many plans with one kernel pass per lattice hop.
 
-        The combined plan forest is walked bottom-up in waves; every wave
-        groups its nodes by (target level, source level) and executes each
-        group as a single :func:`rollup_many` call.  Per-plan results —
-        chunk payloads, leaf keys and the per-hop tuple accounting — are
-        identical (bit for bit) to running :meth:`_execute_plan` on each
-        plan alone: within a target, source rows keep their plan order.
+        Every plan's leaves are first checked against the cache.  A plan
+        with a leaf that is no longer resident — a racing writer evicted
+        it between the query's lookup and aggregate holds — is re-planned
+        through ``policy``, at most ``policy.max_replans`` times, and
+        dropped (``None``: its chunk falls back to the backend) when the
+        budget is spent or the chunk is no longer computable; the other
+        plans are left alone.  The combined forest of the surviving plans
+        is then walked bottom-up in waves; every wave groups its nodes by
+        (target level, source level) and executes each group as a single
+        :func:`rollup_many` call.  A leaf plan is a direct read.  Per-plan
+        results — chunk payloads, leaf keys and the per-hop tuple
+        accounting — are identical (bit for bit) to executing each plan
+        in a batch of its own: within a target, source rows keep their
+        plan order.  Returns one execution per plan and the lattice
+        visits the re-plans made.
         """
+        policy = policy or _SequentialPolicy(self)
+        plans = list(plans)
+        leaves: dict[Key, Chunk] = {}
+
+        def resident(plan: PlanNode) -> bool:
+            for leaf in plan.leaves():
+                key = (leaf.level, leaf.number)
+                if key not in leaves:
+                    chunk = self.cache.peek(*key)
+                    if chunk is None:
+                        return False
+                    leaves[key] = chunk
+            return True
+
+        visits = 0
+        for attempt in itertools.count():
+            stale = [
+                i
+                for i, plan in enumerate(plans)
+                if plan is not None and not resident(plan)
+            ]
+            if not stale:
+                break
+            for i in stale:
+                if attempt >= policy.max_replans:
+                    plans[i] = None
+                    continue
+                policy._count_replan()
+                plans[i], found = policy._find(
+                    plans[i].level, plans[i].number
+                )
+                visits += found
+
         inner: list[PlanNode] = []
         seen: set[PlanNode] = set()
 
@@ -999,19 +1153,14 @@ class AggregateCache:
                 inner.append(node)  # post-order: children first
 
         for plan in plans:
-            collect(plan)
+            if plan is not None:
+                collect(plan)
 
         materialised: dict[PlanNode, Chunk] = {}
 
         def resolve(node: PlanNode) -> Chunk:
             if node.is_leaf:
-                chunk = self.cache.peek(node.level, node.number)
-                if chunk is None:
-                    raise ReproError(
-                        f"plan references chunk {node.number} of level "
-                        f"{node.level} which is no longer cached"
-                    )
-                return chunk
+                return leaves[(node.level, node.number)]
             return materialised[node]
 
         # Wave k holds the nodes whose deepest inner descendant is k hops
@@ -1043,8 +1192,19 @@ class AggregateCache:
                 )
                 materialised.update(zip(nodes, chunks))
 
-        executions = []
+        executions: list[_PlanExecution | None] = []
         for plan in plans:
+            if plan is None:
+                executions.append(None)
+                continue
+            if plan.is_leaf:
+                executions.append(
+                    _PlanExecution(
+                        chunk=self.cache.get(plan.level, plan.number),
+                        direct=True,
+                    )
+                )
+                continue
             leaf_keys: set[Key] = set()
             tuples = 0
             for node in plan.iter_nodes():
@@ -1061,43 +1221,7 @@ class AggregateCache:
                     tuples_aggregated=tuples,
                 )
             )
-        return executions
-
-    def _salvage_from_cache(
-        self, level: Level, numbers: list[int]
-    ) -> tuple[dict[int, Chunk], list[tuple[int, _PlanExecution]], list[int]]:
-        """Cache-only re-lookup for chunks whose backend fetch failed.
-
-        Re-running :meth:`LookupStrategy.find` matters even though phase
-        1 already said 'miss': the cost optimizer may have redirected a
-        computable chunk to the backend, and under concurrent serving
-        the cache may have gained usable chunks since phase 1.  Returns
-        ``(direct hits, (number, execution) pairs, unanswered numbers)``;
-        every answered chunk is exact — 'degraded' refers to coverage,
-        never to correctness.
-        """
-        direct: dict[int, Chunk] = {}
-        pending: list[tuple[int, PlanNode]] = []
-        unanswered: list[int] = []
-        for number in numbers:
-            plan = self.strategy.find(level, number)
-            if plan is None:
-                unanswered.append(number)
-            elif plan.is_leaf:
-                direct[number] = self.cache.get(level, number)
-            else:
-                pending.append((number, plan))
-        executions: list[tuple[int, _PlanExecution]] = []
-        if pending:
-            executions = list(
-                zip(
-                    [number for number, _ in pending],
-                    self._execute_plans_batched(
-                        [plan for _, plan in pending]
-                    ),
-                )
-            )
-        return direct, executions, unanswered
+        return executions, visits
 
     def _admit_wave(self, chunks: list[Chunk]) -> int:
         """Admit an aggregation/fetch wave: one batched cache admission,

@@ -9,8 +9,9 @@ against the equivalent per-chunk loop:
   ``fetch`` round trips vs one batched ``fetch`` (real compute wall-clock
   only; the simulated connection/transfer charges are excluded).
 * **phase2** — the manager's aggregate phase on a Figure-10-style plan
-  set (base level cached, VCMC plans for the bench level): per-plan
-  ``_execute_plan`` vs the forest-batched ``_execute_plans_batched``.
+  set (base level cached, VCMC plans for the bench level): the batched
+  executor ``_execute_plans_batched`` called once per plan vs once over
+  the whole plan forest.
 
 Each case runs at several dataset scales, because the two paths differ in
 *regime*, not just constant factor: with small chunks (few rows per
@@ -282,7 +283,7 @@ def _bench_scale(
 
     def per_plan():
         for plan in plans:
-            manager._execute_plan(plan)
+            manager._execute_plans_batched([plan])
 
     def batched_plans():
         manager._execute_plans_batched(plans)

@@ -31,15 +31,18 @@ import itertools
 import multiprocessing
 import threading
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.adaptive import SUM, aggregate_answer
 from repro.adaptive.canonical import canonicalize
 from repro.approx.answering import ApproxAnswerer
 from repro.approx.contract import QueryContract
 from repro.approx.estimator import CellEstimate
-from repro.chunks.chunk import Chunk
-from repro.core.manager import QueryResult
+from repro.core.manager import (
+    QueryResult,
+    assemble_result,
+    estimate_chunks,
+)
 from repro.faults.errors import ShardDeadError
 from repro.faults.registry import failpoint
 from repro.schema.cube import CubeSchema
@@ -54,6 +57,18 @@ from repro.sharding.worker import WorkerSpec, shard_stats, worker_main
 from repro.util.errors import ReproError
 from repro.util.timers import TimeBreakdown
 from repro.workload.query import Query
+
+
+#: Accounting fields that add across shard partials.
+_SUMMED = (
+    "direct_hits",
+    "aggregated",
+    "from_backend",
+    "tuples_aggregated",
+    "lookup_visits",
+    "state_updates",
+    "reinforcements_skipped",
+)
 
 
 def merge_partials(
@@ -77,25 +92,6 @@ def merge_partials(
     combine in quadrature (:func:`repro.approx.combine_estimates`),
     which is associative across any shard split.
     """
-    cells: dict[int, Chunk] = {}
-    for partial in partials:
-        for chunk in partial.chunks:
-            cells[chunk.number] = chunk
-    answered = [n for n in numbers if n in cells]
-    by_number: dict[int, CellEstimate] = {}
-    for estimate in itertools.chain(
-        (e for p in partials for e in p.estimated), extra_estimates
-    ):
-        by_number[estimate.number] = estimate
-    estimated = tuple(by_number[n] for n in numbers if n in by_number)
-    dead = set(dead_numbers)
-    unanswered = tuple(
-        itertools.chain(
-            (n for p in partials for n in p.unanswered
-             if n not in by_number),
-            (n for n in numbers if n in dead and n not in by_number),
-        )
-    )
     breakdown = TimeBreakdown()
     for partial in partials:
         lookup, aggregate, update, backend = partial.breakdown_ms
@@ -103,32 +99,20 @@ def merge_partials(
         breakdown.aggregate_ms = max(breakdown.aggregate_ms, aggregate)
         breakdown.update_ms = max(breakdown.update_ms, update)
         breakdown.backend_ms = max(breakdown.backend_ms, backend)
-    degraded = bool(dead) or any(p.degraded for p in partials)
-    complete_hit = (
-        not dead
-        and not estimated
-        and bool(partials)
-        and all(p.complete_hit for p in partials)
-    )
-    return QueryResult(
-        query=query,
-        chunks=[cells[n] for n in answered],
-        complete_hit=complete_hit,
-        breakdown=breakdown,
-        direct_hits=sum(p.direct_hits for p in partials),
-        aggregated=sum(p.aggregated for p in partials),
-        from_backend=sum(p.from_backend for p in partials),
-        tuples_aggregated=sum(p.tuples_aggregated for p in partials),
-        lookup_visits=sum(p.lookup_visits for p in partials),
-        state_updates=sum(p.state_updates for p in partials),
-        reinforcements_skipped=sum(
-            p.reinforcements_skipped for p in partials
+    return assemble_result(
+        query,
+        numbers,
+        {chunk.number: chunk for p in partials for chunk in p.chunks},
+        itertools.chain(
+            (e for p in partials for e in p.estimated), extra_estimates
         ),
-        degraded=degraded,
-        coverage=len(answered) / len(numbers) if numbers else 1.0,
-        unanswered=unanswered,
-        contract=contract.mode if contract is not None else "exact",
-        estimated=estimated,
+        breakdown,
+        contract,
+        bool(dead_numbers) or any(p.degraded for p in partials),
+        **{
+            name: sum(getattr(p, name) for p in partials)
+            for name in _SUMMED
+        },
     )
 
 
@@ -460,31 +444,23 @@ class ShardRouter:
                 dead_numbers.extend(owned)
         with self._count_lock:
             self.queries_run += 1
-        extra = self._estimate_dead(query.level, dead_numbers, contract)
+        return self._merge(query, numbers, partials, dead_numbers, contract)
+
+    def _merge(
+        self, query, numbers, partials, dead_numbers, contract
+    ) -> QueryResult:
+        """:func:`merge_partials`, with a dead shard's chunks estimated
+        from the router's own sample under an approx contract."""
+        extra: Sequence[CellEstimate] = ()
+        if dead_numbers and self.approx is not None and (
+            contract is not None and contract.wants_estimates
+        ):
+            extra, _ = estimate_chunks(
+                self.approx, query.level, list(dead_numbers), contract
+            )
         return merge_partials(
             query, numbers, partials, dead_numbers, extra, contract
         )
-
-    def _estimate_dead(
-        self,
-        level,
-        dead_numbers: Sequence[int],
-        contract: QueryContract | None,
-    ) -> Sequence[CellEstimate]:
-        """Router-side estimates for chunks whose owner shard is dead
-        (approx contracts with a router answerer only)."""
-        if (
-            not dead_numbers
-            or self.approx is None
-            or contract is None
-            or not contract.wants_estimates
-        ):
-            return ()
-        estimates = self.approx.estimate(level, list(dead_numbers))
-        tolerance = contract.max_rel_error
-        if tolerance is None:
-            return estimates
-        return [e for e in estimates if e.rel_error <= tolerance]
 
     def _mark_dead(self, shard) -> None:
         if shard.alive:
@@ -529,17 +505,12 @@ class ShardRouter:
                 1, min(32, -(-len(queries) // (2 * self.num_shards)))
             )
         if batch_size <= 1:
-            results: list[QueryResult | None] = [None] * len(queries)
             with ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="repro-router"
             ) as pool:
-                futures = {
-                    pool.submit(self.query, query, contract): index
-                    for index, query in enumerate(queries)
-                }
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-            return results  # type: ignore[return-value]
+                return list(
+                    pool.map(lambda query: self.query(query, contract), queries)
+                )
         out: list[QueryResult] = []
         pools = {
             shard.index: ThreadPoolExecutor(
@@ -628,14 +599,7 @@ class ShardRouter:
         with self._count_lock:
             self.queries_run += len(batch)
         return [
-            merge_partials(
-                query,
-                plans[pos],
-                partials[pos],
-                dead[pos],
-                self._estimate_dead(query.level, dead[pos], contract),
-                contract,
-            )
+            self._merge(query, plans[pos], partials[pos], dead[pos], contract)
             for pos, query in enumerate(batch)
         ]
 

@@ -29,8 +29,6 @@ from repro.approx.contract import decode_contract
 from repro.backend.cost_model import CostModel
 from repro.backend.engine import BackendDatabase
 from repro.backend.resilient import ResilientBackend
-from repro.cache.preload import choose_preload_level
-from repro.chunks.chunk import ChunkOrigin
 from repro.core.manager import AggregateCache
 from repro.core.sizes import SizeEstimator
 from repro.schema.cube import CubeSchema
@@ -106,7 +104,10 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         spec.capacity_bytes,
         strategy=spec.strategy,
         policy=spec.policy,
-        preload=False,
+        # Every shard preloads, in full, the level that fits its own
+        # budget: a replicated summary tier (see docs/sharding.md).
+        preload=spec.preload,
+        preload_headroom=spec.preload_headroom,
         visit_budget=spec.visit_budget,
         sizes=spec.sizes,
         degraded_mode=spec.degraded_mode,
@@ -115,8 +116,6 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
         cache_values=spec.cache_values,
         **spec.extra_manager_kwargs,
     )
-    if spec.preload:
-        _preload_owned(manager, spec)
     adaptive = None
     if spec.adaptive:
         # The precompute budget is naturally per-shard: the fraction
@@ -128,38 +127,6 @@ def build_shard_service(spec: WorkerSpec) -> ConcurrentAggregateCache:
     return ConcurrentAggregateCache(
         manager, max_replans=spec.max_replans, adaptive=adaptive
     )
-
-
-def _preload_owned(manager: AggregateCache, spec: WorkerSpec) -> None:
-    """The sharded counterpart of :meth:`AggregateCache.preload`:
-    a *replicated summary tier*.
-
-    The preload level is chosen against this worker's own budget and
-    loaded **in full** — every shard holds the same (coarser) level.
-    Partitioning it by ownership instead would gut the paper's central
-    mechanism: a shard owning a coarse chunk cannot aggregate it from
-    finer chunks that live on its siblings, so every such miss becomes a
-    backend scan.  Replicating a level that fits 1/N of the fleet budget
-    keeps cross-level aggregation local to every shard; only the cached
-    *computed* chunks are partitioned (by serving them, each shard
-    naturally accumulates exactly the chunks it owns).
-
-    At N=1 the per-shard budget *is* the fleet budget, so the level —
-    and with it the whole cache state — matches the single-process
-    manager's preload exactly (the ``--shards 1`` identity gate).
-    """
-    level = choose_preload_level(
-        spec.schema,
-        manager.sizes,
-        spec.capacity_bytes,
-        headroom=spec.preload_headroom,
-    )
-    if level is None:
-        return
-    for chunk in manager.backend.compute_level(level):
-        chunk.origin = ChunkOrigin.PRELOAD
-        manager._insert(chunk, benefit=chunk.compute_cost)
-    manager.preloaded_level = level
 
 
 def shard_stats(service: ConcurrentAggregateCache) -> dict:
@@ -191,6 +158,16 @@ def worker_main(conn, spec: WorkerSpec) -> None:
     set_default_validation(spec.validate_aggregation)
     service = build_shard_service(spec)
     backend = service.manager.backend
+
+    def serve_slice(wire) -> tuple:
+        level, ranges, numbers, contract = wire
+        result = service.query_subset(
+            Query(level=level, chunk_ranges=ranges),
+            list(numbers),
+            decode_contract(contract),
+        )
+        return encode_partial(ShardPartial.from_result(spec.index, result))
+
     try:
         while True:
             try:
@@ -207,33 +184,13 @@ def worker_main(conn, spec: WorkerSpec) -> None:
                 os._exit(17)
             try:
                 if op == "query":
-                    level, ranges, numbers, contract = message[2]
-                    query = Query(level=level, chunk_ranges=ranges)
-                    result = service.query_subset(
-                        query, list(numbers), decode_contract(contract)
-                    )
-                    payload = encode_partial(
-                        ShardPartial.from_result(spec.index, result)
-                    )
+                    payload = serve_slice(message[2])
                 elif op == "query_batch":
                     # Many slices, one round trip: the pipe cost is paid
                     # once per batch instead of once per query.  Slices
                     # are served in order, so per-shard cache evolution
                     # matches the unbatched stream exactly.
-                    answers = []
-                    for level, ranges, numbers, contract in message[2]:
-                        query = Query(level=level, chunk_ranges=ranges)
-                        result = service.query_subset(
-                            query, list(numbers), decode_contract(contract)
-                        )
-                        answers.append(
-                            encode_partial(
-                                ShardPartial.from_result(
-                                    spec.index, result
-                                )
-                            )
-                        )
-                    payload = tuple(answers)
+                    payload = tuple(serve_slice(wire) for wire in message[2])
                 elif op == "stats":
                     payload = shard_stats(service)
                 elif op == "idle_tick":

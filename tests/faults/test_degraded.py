@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AggregateCache, Query
+from repro import AggregateCache, ConcurrentAggregateCache, Query
 from repro.faults import FailpointRegistry, TransientBackendError
 from repro.harness.service_bench import (
     check_bytes_invariant,
@@ -142,3 +142,22 @@ def test_degraded_obs_accounting(tiny_schema, tiny_backend):
     assert query_events[-1]["degraded"] is True
     assert query_events[-1]["unanswered"] == list(result.unanswered)
     assert "degraded" not in query_events[0]  # fault-free event untouched
+
+
+def test_subset_answered_fraction_is_relative_to_the_slice(
+    tiny_schema, tiny_backend
+):
+    """Regression: ``answered_fraction`` divided by the whole query's
+    chunk count while ``unanswered`` is relative to a ``query_subset``
+    slice, so a fully unanswered slice still reported most of the query
+    answered."""
+    service = ConcurrentAggregateCache(make_manager(tiny_schema, tiny_backend))
+    query = Query.full_level(tiny_schema, tiny_schema.base_level)
+    numbers = query.chunk_numbers(tiny_schema)
+    assert len(numbers) > 2
+    with outage().armed():
+        result = service.query_subset(query, numbers[:2])
+    assert result.degraded
+    assert result.unanswered == tuple(numbers[:2])
+    assert result.coverage == 0.0
+    assert result.answered_fraction == 0.0

@@ -16,6 +16,7 @@ from repro import (
     Query,
     QueryStreamGenerator,
 )
+from tests.helpers import direct_aggregate, expected_cells_in_chunk
 
 
 def make_manager(tiny_schema, tiny_facts, capacity_fraction=0.6, **kwargs):
@@ -190,3 +191,99 @@ def test_plan_invalidated_by_racing_eviction_replans(
     reference = make_manager(tiny_schema, tiny_facts, capacity_fraction=1.2)
     expected = reference.query(Query.full_level(tiny_schema, target))
     assert result.total_value() == pytest.approx(expected.total_value())
+
+
+def test_racing_eviction_replans_only_the_invalidated_plan(
+    tiny_schema, tiny_facts
+):
+    """A racing eviction of a leaf that only one of several aggregated
+    plans reads re-plans exactly that plan; every plan, the re-planned
+    one included, still executes in one batch, and the answer is the
+    ground truth."""
+    manager = make_manager(
+        tiny_schema, tiny_facts, capacity_fraction=3.0, preload=False
+    )
+    service = ConcurrentAggregateCache(manager)
+    # Cache the base level and one level above it: plans read the upper
+    # level, and the base level still covers a chunk whose upper-level
+    # leaf disappears.
+    base = tiny_schema.base_level
+    upper = tiny_schema.children_of(base)[0]
+    for level in (base, upper):
+        service.query(Query.full_level(tiny_schema, level))
+
+    victim = None
+    for level in tiny_schema.all_levels():
+        query = Query.full_level(tiny_schema, level)
+        plans = [
+            manager.strategy.find(level, n)
+            for n in query.chunk_numbers(tiny_schema)
+        ]
+        aggregated = [p for p in plans if p is not None and not p.is_leaf]
+        for plan in aggregated if len(aggregated) >= 2 else ():
+            others = {
+                (leaf.level, leaf.number)
+                for other in aggregated
+                if other is not plan
+                for leaf in other.leaves()
+            }
+            unique = [
+                leaf
+                for leaf in plan.leaves()
+                if leaf.level == upper
+                and (leaf.level, leaf.number) not in others
+            ]
+            if unique:
+                victim = (query, len(aggregated), plan.number, unique[0])
+                break
+        if victim is not None:
+            break
+    assert victim is not None, "need two aggregated plans, one leaf apart"
+    query, num_aggregated, victim_number, leaf = victim
+
+    original_find = service._find
+    sabotaged = []
+
+    def racing_find(level, number):
+        plan, visits = original_find(level, number)
+        if number == victim_number and not sabotaged:
+            # A concurrent writer evicts the leaf after the lookup hold
+            # returned the plan, before the aggregate hold executes it.
+            manager.cache.evict(leaf.level, leaf.number)
+            manager.strategy.on_evict(leaf.level, leaf.number)
+            sabotaged.append(leaf)
+        return plan, visits
+
+    original_execute = manager._execute_plans_batched
+    batches = []
+
+    def recording_execute(plans, policy=None):
+        executions, visits = original_execute(plans, policy)
+        batches.append(executions)
+        return executions, visits
+
+    service._find = racing_find
+    manager._execute_plans_batched = recording_execute
+    try:
+        result = service.query(query)
+    finally:
+        service._find = original_find
+        del manager._execute_plans_batched
+
+    assert sabotaged, "the race was never staged"
+    assert service.replans == 1
+    assert len(batches) == 1, "phase 2 must run as one batch"
+    computed = [e for e in batches[0] if e is not None and not e.direct]
+    assert len(computed) == num_aggregated
+    assert result.aggregated == num_aggregated
+    assert result.from_backend == 0
+    assert [c.number for c in result.chunks] == list(
+        query.chunk_numbers(tiny_schema)
+    )
+    truth = direct_aggregate(tiny_facts, query.level)
+    for chunk in result.chunks:
+        assert chunk.cell_dict() == pytest.approx(
+            expected_cells_in_chunk(
+                tiny_schema, truth, query.level, chunk.number
+            )
+        )
